@@ -60,13 +60,11 @@ def burst_requests(fleet_jobs):
     return [distinct[i % len(distinct)] for i in range(BURST)]
 
 
-def _run_burst(requests, **service_kwargs):
+def _run_burst(requests):
     """One full service lifecycle: boot, TCP burst, drain; returns stats."""
 
     async def main():
-        service_kwargs.setdefault("backend", "thread")
-        service_kwargs.setdefault("max_workers", WORKERS)
-        async with ScheduleService(**service_kwargs) as svc:
+        async with ScheduleService(backend="thread", max_workers=WORKERS) as svc:
             server = ScheduleServer(svc, port=0)
             await server.start()
             try:
@@ -153,102 +151,6 @@ def test_bench_service_vs_batch_runner(burst_requests, fleet_jobs):
         f"service burst took {service_s:.2f} s vs batch {batch_s:.2f} s"
     )
     assert absorbed_rate >= 0.5, f"absorbed rate only {absorbed_rate:.2f}"
-
-
-#: Coalescing workload: one thermal network, distinct content hashes —
-#: a TL-headroom sweep over a 16-core grid, the shape of the paper's
-#: parameter studies served as a burst.  Distinct hashes defeat dedup
-#: and the answer cache, so what the curve isolates is genuinely the
-#: coalescer sharing model builds and memoised GEMMs.
-COALESCE_BURST = 16
-COALESCE_POINTS = (1, 2, 4, 8, 16)
-
-
-@pytest.fixture(scope="module")
-def coalesce_requests():
-    from repro.engine.scenarios import ScenarioSpec
-
-    spec = ScenarioSpec(kind="grid", rows=4, cols=4, power_seed=5)
-    return [
-        ScheduleRequest(
-            scenario=spec, tl_headroom=10.0 + 0.5 * i, stcl_headroom=5.0
-        )
-        for i in range(COALESCE_BURST)
-    ]
-
-
-def _run_coalesced_burst(requests, max_batch: int):
-    """One lifecycle at a given batch bound; one worker keeps the queue
-    deep (>= 8 behind the head-of-line solve), which is the regime the
-    coalescer exists for."""
-    return _run_burst(
-        requests,
-        max_workers=1,
-        max_batch=max_batch,
-        coalesce_window_ms=25.0 if max_batch > 1 else 0.0,
-    )
-
-
-def test_bench_service_coalescing_throughput(benchmark, coalesce_requests):
-    """Throughput vs ``max_batch``: the coalescing acceptance curve.
-
-    The ISSUE's gate: with the queue deep, coalesced dispatch must at
-    least double the ``--max-batch 1`` baseline's throughput while the
-    equivalence suite (tests/api/test_batch_equivalence.py) proves the
-    answers bit-identical.  The whole curve lands in BENCH_service.json
-    so a regression at any batch size is visible, not just at the
-    benchmarked point.
-    """
-    curve = {}
-    for max_batch in COALESCE_POINTS:
-        best_s = min(  # best-of-3: boots and GC make single runs noisy
-            _timed_coalesced_burst(coalesce_requests, max_batch)
-            for _ in range(3)
-        )
-        curve[max_batch] = best_s
-
-    frames, stats = benchmark(
-        lambda: _run_coalesced_burst(coalesce_requests, COALESCE_POINTS[-1])
-    )
-    assert len(frames) == COALESCE_BURST
-    assert all(f["type"] == "report" for f in frames)
-    assert stats["errors"] == 0
-    # Every request solved (nothing was absorbed by dedup or the
-    # answer cache) and the coalescer genuinely engaged.
-    assert stats["solves_started"] == COALESCE_BURST
-    assert stats["coalesced_batches"] >= 1
-    assert stats["coalesced_solves"] == COALESCE_BURST
-
-    baseline_s = curve[1]
-    coalesced_s = curve[COALESCE_POINTS[-1]]
-    speedup = baseline_s / coalesced_s
-    points = ", ".join(
-        f"x{mb}: {s * 1e3:.1f} ms ({COALESCE_BURST / s:.0f} req/s)"
-        for mb, s in curve.items()
-    )
-    print(f"\ncoalescing curve [{points}] — {speedup:.1f}x vs max_batch=1")
-    benchmark.extra_info["requests"] = COALESCE_BURST
-    benchmark.extra_info["coalescing_speedup"] = round(speedup, 2)
-    for mb, s in curve.items():
-        benchmark.extra_info[f"batch{mb}_requests_per_second"] = round(
-            COALESCE_BURST / s, 1
-        )
-    snap = stats["latency"].get("batch_size") or {}
-    if snap.get("count"):
-        benchmark.extra_info["batch_size_p50"] = snap["p50"]
-        benchmark.extra_info["batch_size_max"] = snap["max"]
-    assert speedup >= 2.0, (
-        f"coalescing only {speedup:.2f}x over the max_batch=1 baseline "
-        f"({coalesced_s * 1e3:.1f} ms vs {baseline_s * 1e3:.1f} ms)"
-    )
-
-
-def _timed_coalesced_burst(requests, max_batch: int) -> float:
-    start = time.perf_counter()
-    frames, stats = _run_coalesced_burst(requests, max_batch)
-    elapsed = time.perf_counter() - start
-    assert len(frames) == len(requests) and stats["errors"] == 0
-    return elapsed
 
 
 @contextmanager

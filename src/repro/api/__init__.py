@@ -50,7 +50,6 @@ from .workbench import (
     Workbench,
     default_workbench,
     execute_request,
-    execute_requests_batch,
     solve,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "available_solvers",
     "default_workbench",
     "execute_request",
-    "execute_requests_batch",
     "get_solver",
     "register_solver",
     "report_from_dict",

@@ -68,11 +68,6 @@ class SolveContext:
         Resolved absolute temperature limit (Celsius).
     stcl:
         Resolved STC limit (``nan`` when the request carried none).
-    growth_memo:
-        Optional session-growth memo shared across a coalesced batch of
-        requests evaluated against the same session model (see
-        :class:`~repro.core.scheduler.ThermalAwareScheduler`); ``None``
-        for solo solves.
     """
 
     soc: SocUnderTest
@@ -80,7 +75,6 @@ class SolveContext:
     model: SessionThermalModel
     tl_c: float
     stcl: float
-    growth_memo: dict | None = None
 
 
 class Solver(ABC):
@@ -222,7 +216,6 @@ class ThermalAwareSolver(Solver):
             simulator=context.simulator,
             session_model=context.model,
             config=config,
-            growth_memo=context.growth_memo,
         )
         result = scheduler.schedule(context.tl_c, context.stcl)
         return result, {

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -33,7 +32,6 @@ from ..engine.scenarios import ScenarioSpec
 from ..soc.library import ALPHA15_POWER_SEED
 from ..spec_utils import validate_limit_fields
 from ..soc.system import SocUnderTest
-from ..thermal.reduced import MemoizedSteadyOperator
 from ..thermal.simulator import ThermalSimulator
 from .request import ScheduleRequest, SolveReport
 from .solvers import Solver, SolveContext, get_solver
@@ -53,27 +51,6 @@ def _builtin_scenario(name: str) -> ScenarioSpec:
     """
     seed = ALPHA15_POWER_SEED if name == "alpha15" else 0
     return ScenarioSpec(kind=name, power_seed=seed)
-
-
-@dataclass
-class _SharedBuild:
-    """One shared model build serving a coalesced group of requests.
-
-    Everything here is either immutable at solve time (the SoC, the
-    session model, the reduced operator behind the simulator facade) or
-    a pure memo keyed by exact inputs (the operator's power memo, the
-    session-growth memo), so pushing many requests through one build
-    sequentially produces bit-identical reports to solo solves.
-    ``cache_hit`` is per-use bookkeeping: the first request of a group
-    reports the underlying model-cache outcome, later ones report what
-    a sequential solo run would have seen (a hit, when caching is on).
-    """
-
-    soc: SocUnderTest
-    simulator: ThermalSimulator
-    model: SessionThermalModel
-    cache_hit: bool
-    growth_memo: dict = field(default_factory=dict)
 
 
 class Workbench:
@@ -161,113 +138,6 @@ class Workbench:
             ),
         )
 
-    def solve_batch(
-        self, requests: Sequence[ScheduleRequest]
-    ) -> list[SolveReport | BaseException]:
-        """Answer a coalesced group of requests through shared model builds.
-
-        Requests are processed **sequentially** against shared
-        artefacts: one SoC + session model per distinct
-        ``(scenario, include_vertical, stc_scale)``, one simulator
-        (with a :class:`~repro.thermal.reduced.MemoizedSteadyOperator`
-        and a shared session-growth memo) per distinct thermal network
-        — so repeated GEMM inputs across the group are answered from
-        memory, bit-identical to solo solves by construction (a memo
-        hit replays the exact array a solo solve computes; nothing is
-        cross-request column-stacked).
-
-        Per-request failures are returned in place as the raised
-        exception (annotated with ``solve_elapsed_s`` /
-        ``solve_steady_solves`` / ``solve_cache_hit`` where possible)
-        so one infeasible request never poisons its group.
-        """
-        shares: dict[tuple[ScenarioSpec, bool, float], _SharedBuild] = {}
-        sims: dict[tuple, ThermalSimulator] = {}
-        results: list[SolveReport | BaseException] = []
-        for request in requests:
-            start = time.perf_counter()
-            try:
-                results.append(self._solve_one_shared(request, shares, sims))
-            except Exception as exc:
-                try:
-                    setattr(exc, "solve_elapsed_s", time.perf_counter() - start)
-                except AttributeError:
-                    pass  # exceptions with __slots__ cannot carry extras
-                results.append(exc)
-        return results
-
-    def _solve_one_shared(
-        self,
-        request: ScheduleRequest,
-        shares: dict[tuple[ScenarioSpec, bool, float], _SharedBuild],
-        sims: dict[tuple, ThermalSimulator],
-    ) -> SolveReport:
-        """One request of a coalesced group (mirrors :meth:`solve`)."""
-        solver = get_solver(request.solver)
-        solver.validate_params(request.params)
-        if solver.needs_stcl and not request.has_stcl:
-            raise RequestError(
-                f"solver {request.solver!r} needs an STCL; set stcl= or "
-                f"stcl_headroom= on the request"
-            )
-        if request.soc is not None:
-            scenario = _builtin_scenario(request.soc)
-        else:
-            scenario = request.scenario
-            assert scenario is not None  # __post_init__ guarantees one source
-        include_vertical = request.include_vertical or scenario.needs_vertical_path()
-        stc_scale = (
-            request.stc_scale
-            if request.stc_scale is not None
-            else scenario.default_stc_scale()
-        )
-        build_key = (scenario, include_vertical, stc_scale)
-        shared = shares.get(build_key)
-        if shared is None:
-            soc = scenario.build_soc()
-            sim_key = scenario.thermal_key()
-            simulator = sims.get(sim_key)
-            if simulator is None:
-                base, cache_hit = self._simulator_for(soc)
-                simulator = ThermalSimulator.from_handles(
-                    base.model,
-                    base.steady_solver,
-                    MemoizedSteadyOperator(base.reduced_operator),
-                )
-                sims[sim_key] = simulator
-            else:
-                cache_hit = self._cache is not None
-            shared = _SharedBuild(
-                soc=soc,
-                simulator=simulator,
-                model=SessionThermalModel(
-                    soc,
-                    SessionModelConfig(
-                        include_vertical=include_vertical, stc_scale=stc_scale
-                    ),
-                ),
-                cache_hit=cache_hit,
-            )
-            shares[build_key] = shared
-        try:
-            return self._execute(
-                solver=solver,
-                request=request,
-                soc=shared.soc,
-                params=request.params,
-                tl_c=request.tl_c,
-                tl_headroom=request.tl_headroom,
-                stcl=request.stcl,
-                stcl_headroom=request.stcl_headroom,
-                include_vertical=include_vertical,
-                stc_scale=stc_scale,
-                shared=shared,
-            )
-        finally:
-            # The next request reusing this build sees what a
-            # sequential solo run would: a model-cache hit (when on).
-            shared.cache_hit = self._cache is not None
-
     def solve_soc(
         self,
         soc: SocUnderTest,
@@ -328,22 +198,17 @@ class Workbench:
         stcl_headroom: float | None,
         include_vertical: bool,
         stc_scale: float,
-        shared: _SharedBuild | None = None,
     ) -> SolveReport:
         start = time.perf_counter()
         trace = RequestTrace()
         with trace.phase("model_build"):
-            if shared is not None:
-                simulator, cache_hit = shared.simulator, shared.cache_hit
-                model = shared.model
-            else:
-                simulator, cache_hit = self._simulator_for(soc)
-                model = SessionThermalModel(
-                    soc,
-                    SessionModelConfig(
-                        include_vertical=include_vertical, stc_scale=stc_scale
-                    ),
-                )
+            simulator, cache_hit = self._simulator_for(soc)
+            model = SessionThermalModel(
+                soc,
+                SessionModelConfig(
+                    include_vertical=include_vertical, stc_scale=stc_scale
+                ),
+            )
         solves_before = simulator.steady_solve_count
         try:
             return self._resolve_and_solve(
@@ -361,7 +226,6 @@ class Workbench:
                 solves_before=solves_before,
                 start=start,
                 trace=trace,
-                growth_memo=None if shared is None else shared.growth_memo,
             )
         except Exception as exc:
             # Error-record consumers (the batch runner) still want the
@@ -396,7 +260,6 @@ class Workbench:
         solves_before: int,
         start: float,
         trace: RequestTrace,
-        growth_memo: dict | None = None,
     ) -> SolveReport:
         with trace.phase("limit_resolve"):
             if tl_c is None:
@@ -429,7 +292,6 @@ class Workbench:
             model=model,
             tl_c=float(tl_c),
             stcl=math.nan if stcl is None else float(stcl),
-            growth_memo=growth_memo,
         )
         try:
             with trace.phase("solver"):
@@ -527,18 +389,3 @@ def execute_request(
         The worker's model cache (``None`` builds a throwaway network).
     """
     return Workbench(cache=cache, use_cache=cache is not None).solve(request)
-
-
-def execute_requests_batch(
-    requests: Sequence[ScheduleRequest],
-    cache: ThermalModelCache | None = None,
-) -> list[SolveReport | BaseException]:
-    """Batch execution path used by the service's request coalescer.
-
-    One :meth:`Workbench.solve_batch` over the whole group: shared
-    model builds and memoised GEMMs, per-request reports (or in-place
-    exceptions) bit-identical to solo :func:`execute_request` calls.
-    """
-    return Workbench(cache=cache, use_cache=cache is not None).solve_batch(
-        requests
-    )

@@ -54,7 +54,7 @@ from .core.safety import audit_schedule
 from .core.scheduler import SchedulerConfig, ThermalAwareScheduler
 from .core.serialize import save_result
 from .core.session_model import SessionModelConfig, SessionThermalModel
-from .errors import ReproError
+from .errors import ReproError, RequestError
 from .floorplan.hotspot_format import read_flp
 from .power.profile import CorePower, PowerProfile
 from .soc.library import (
@@ -64,6 +64,7 @@ from .soc.library import (
     worked_example6_soc,
 )
 from .soc.system import SocUnderTest
+from .spec_utils import validate_limit_fields
 from .thermal.heatmap import render_heatmap
 from .thermal.simulator import ThermalSimulator
 
@@ -186,6 +187,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        validate_limit_fields(
+            tl_c=args.tl,
+            tl_headroom=None,
+            stcl=args.stcl,
+            stcl_headroom=None if args.stcl is not None else args.auto_stcl,
+            error_cls=RequestError,
+        )
         soc, stc_scale = build_soc(args)
         model = SessionThermalModel(
             soc,
@@ -569,24 +577,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="disable the shared thermal-model cache",
     )
-    execution.add_argument(
-        "--coalesce-window-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help="how long the dispatcher lingers for a burst to pile up "
-        "before draining the queue into a coalesced batch "
-        "(default 0: drain only what is already queued)",
-    )
-    execution.add_argument(
-        "--max-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="most jobs one worker dispatch may solve as a coalesced "
-        "group sharing model builds and GEMMs (default 1: coalescing "
-        "off, one job per dispatch)",
-    )
     caching = parser.add_argument_group("answer cache")
     caching.add_argument(
         "--answer-cache",
@@ -740,8 +730,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                 throttle_factor=args.reactive_throttle,
             ),
             reactive_dt=args.reactive_dt,
-            coalesce_window_ms=args.coalesce_window_ms,
-            max_batch=args.max_batch,
         )
         await service.start()
         server = ScheduleServer(service, host=args.host, port=args.port)

@@ -252,16 +252,6 @@ class ThermalAwareScheduler:
         omitted).
     config:
         Scheduler tunables (defaults reproduce the paper).
-    growth_memo:
-        Optional cross-request memo for :meth:`_grow_session`
-        trajectories, keyed by the exact growth inputs
-        ``(stcl, ordered candidates, their weights)``.  Supplied by the
-        service's request coalescer when several requests share one
-        session model: growth is a pure function of those inputs over
-        an immutable model, so replaying a stored trajectory is
-        bit-identical to re-running the loop.  The caller owns the
-        memo's scope — it must never outlive the model instance it was
-        filled against.
     """
 
     def __init__(
@@ -271,7 +261,6 @@ class ThermalAwareScheduler:
         session_model: SessionThermalModel | None = None,
         session_model_config: SessionModelConfig = PAPER_SESSION_MODEL,
         config: SchedulerConfig = PAPER_SCHEDULER,
-        growth_memo: dict | None = None,
     ) -> None:
         self._soc = soc
         self._simulator = (
@@ -285,7 +274,6 @@ class ThermalAwareScheduler:
             else SessionThermalModel(soc, session_model_config)
         )
         self._config = config
-        self._growth_memo = growth_memo
 
     @property
     def soc(self) -> SocUnderTest:
@@ -397,33 +385,13 @@ class ThermalAwareScheduler:
         those contributions are recomputed — bit-identical to the
         from-scratch evaluation, without the O(session * degree) rescan
         per candidate.
-
-        With a ``growth_memo``, the trajectory is keyed by everything
-        the loop reads — STCL, the ordered candidate list and each
-        candidate's weight (growth only ever reads weights of cores it
-        considers admitting, all of which are in *pending*) — so a memo
-        hit replays exactly what the loop would have produced.
         """
-        mapping = weights.as_mapping()
-        ordered = self._ordered(pending)
-        key = None
-        if self._growth_memo is not None:
-            key = (
-                stcl,
-                tuple(ordered),
-                tuple(mapping.get(c, 1.0) for c in ordered),
-            )
-            stored = self._growth_memo.get(key)
-            if stored is not None:
-                return list(stored)
-        growth = self._model.start_session(mapping)
+        growth = self._model.start_session(weights.as_mapping())
         session: list[str] = []
-        for candidate in ordered:
+        for candidate in self._ordered(pending):
             if growth.stc_if_added(candidate) <= stcl:
                 growth.add(candidate)
                 session.append(candidate)
-        if key is not None:
-            self._growth_memo[key] = tuple(session)
         return session
 
     # -- the full flow ----------------------------------------------------------------

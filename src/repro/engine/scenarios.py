@@ -137,9 +137,8 @@ class ScenarioSpec:
         Two specs with equal keys produce the same floorplan, package
         and adjacency — hence the same compiled network, factorisation
         and reduced operator — even when their power profiles or test
-        times differ.  The service's request coalescer groups pending
-        jobs by this key (a coarser key than the full request content
-        hash), so one shared model build serves the whole group.  Only
+        times differ — a coarser key than the full request content
+        hash, for grouping requests by the network they solve on.  Only
         the fields that feed :meth:`build_floorplan` /
         :meth:`build_package` participate; ``power_seed`` /
         ``power_scale`` / ``test_time_s`` deliberately do not.

@@ -94,17 +94,6 @@ def render_top(stats: Mapping[str, Any]) -> str:
         f"done, {stats.get('cache_hits', 0)} model-cache hits "
         f"({_rate(int(stats.get('cache_hits', 0)), solves)})"
     )
-    coalesced = int(stats.get("coalesced_solves", 0))
-    if coalesced:
-        batches = int(stats.get("coalesced_batches", 0))
-        batch_size = (stats.get("latency") or {}).get("batch_size") or {}
-        p50 = batch_size.get("p50")
-        sized = "" if p50 is None else f", p50 size {p50:g}"
-        lines.append(
-            f"batches {coalesced} solves coalesced "
-            f"({_rate(coalesced, solves)}) into {batches} "
-            f"group dispatches{sized}"
-        )
 
     latency = stats.get("latency")
     if latency:

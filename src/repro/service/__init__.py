@@ -96,7 +96,6 @@ from .report import (
 )
 from .server import ScheduleServer
 from .service import (
-    BATCH_FAMILIES,
     DWELL_FAMILIES,
     LATENCY_FAMILIES,
     METRIC_FIELDS,
@@ -116,7 +115,6 @@ __all__ = [
     "CircuitBreaker",
     "DEFAULT_PORT",
     "DEFAULT_ROUTER_PORT",
-    "BATCH_FAMILIES",
     "DWELL_FAMILIES",
     "FaultPlan",
     "FleetRouter",

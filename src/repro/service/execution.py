@@ -19,10 +19,10 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 from ..api.request import ScheduleRequest, SolveReport
-from ..api.workbench import execute_request, execute_requests_batch
+from ..api.workbench import execute_request
 from ..engine.cache import ThermalModelCache, process_local_cache
 
 
@@ -106,55 +106,6 @@ def solve_request_outcome(
     )
 
 
-def solve_requests_batch(
-    requests: Sequence[ScheduleRequest],
-    cache: ThermalModelCache | None = None,
-) -> list[SolveOutcome]:
-    """Execute one coalesced group; one outcome per request, in order.
-
-    Backed by :func:`~repro.api.workbench.execute_requests_batch`:
-    every request in the group is evaluated sequentially against
-    shared model builds and memoised GEMMs, so the reports are
-    bit-identical to solo solves while the group amortises the model
-    build and repeated linear algebra.  Per-request failures come back
-    as per-request error outcomes — a mid-batch infeasible request
-    never poisons its neighbours.
-    """
-    start = time.perf_counter()
-    try:
-        results = execute_requests_batch(requests, cache=cache)
-    # A failure to even start the batch (a buggy solver's import-time
-    # explosion, a broken cache) still must answer every job.
-    except Exception as exc:
-        elapsed_s = time.perf_counter() - start
-        return [error_outcome(exc, elapsed_s) for _ in requests]
-    outcomes: list[SolveOutcome] = []
-    for item in results:
-        if isinstance(item, BaseException):
-            outcomes.append(
-                error_outcome(item, getattr(item, "solve_elapsed_s", 0.0))
-            )
-            continue
-        # Engine wall time as the "worker" phase, mirroring the solo
-        # path (per-request, not the group's wall: phase nesting
-        # total <= worker <= service_total must keep holding).
-        report = dataclasses.replace(
-            item, timings={**(item.timings or {}), "worker": item.elapsed_s}
-        )
-        outcomes.append(
-            SolveOutcome(
-                status="ok",
-                report=report,
-                error=None,
-                error_type=None,
-                elapsed_s=report.elapsed_s,
-                steady_solves=report.steady_solves,
-                cache_hit=report.cache_hit,
-            )
-        )
-    return outcomes
-
-
 def process_solve(request: ScheduleRequest) -> SolveOutcome:
     """Module-level (hence picklable) process-pool worker (cached)."""
     return solve_request_outcome(request, process_local_cache())
@@ -164,16 +115,3 @@ def process_solve_uncached(request: ScheduleRequest) -> SolveOutcome:
     """Process-pool worker for ``use_cache=False`` services."""
     return solve_request_outcome(request, None)
 
-
-def process_solve_batch(
-    requests: Sequence[ScheduleRequest],
-) -> list[SolveOutcome]:
-    """Picklable process-pool batch worker (per-process cache)."""
-    return solve_requests_batch(requests, process_local_cache())
-
-
-def process_solve_batch_uncached(
-    requests: Sequence[ScheduleRequest],
-) -> list[SolveOutcome]:
-    """Process-pool batch worker for ``use_cache=False`` services."""
-    return solve_requests_batch(requests, None)

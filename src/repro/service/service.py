@@ -69,11 +69,8 @@ from .execution import (
     SolveOutcome,
     error_outcome,
     process_solve,
-    process_solve_batch,
-    process_solve_batch_uncached,
     process_solve_uncached,
     solve_request_outcome,
-    solve_requests_batch,
 )
 from .pool import AdaptiveWorkerPool
 from ..reactive import (
@@ -99,13 +96,6 @@ LATENCY_FAMILIES = ("queue_wait", "solve", "e2e", "answer_hit", "archive_append"
 #: the stats frame's ``latency`` mapping and the Prometheus summaries
 #: without a second pipeline.
 DWELL_FAMILIES = ("dwell_normal", "dwell_elevated", "dwell_critical")
-
-#: Size-distribution histogram families (dimensionless counts, not
-#: seconds): ``batch_size`` records the number of jobs in each
-#: worker-pool dispatch while coalescing is enabled — size-1 dispatches
-#: included, so the distribution shows how often coalescing actually
-#: engages, not just how big its wins are.
-BATCH_FAMILIES = ("batch_size",)
 
 
 @dataclass(frozen=True)
@@ -179,10 +169,6 @@ METRIC_FIELDS: tuple[MetricField, ...] = (
                 "Worker-pool executions finished (zombies included)."),
     MetricField("cache_hits", "counter", "solves", "model cache hits",
                 "Solves whose thermal model came out of a cache."),
-    MetricField("coalesced_batches", "counter", "solves", "coalesced batches",
-                "Worker-pool dispatches that solved a coalesced group."),
-    MetricField("coalesced_solves", "counter", "solves", "coalesced solves",
-                "Jobs answered as members of a coalesced group."),
     MetricField("reactive_runs", "counter", "reactive", "reactive runs",
                 "Closed-loop reactive executions streamed to watchers."),
     MetricField("guard_transitions", "counter", "reactive",
@@ -335,11 +321,6 @@ class ServiceMetrics:
         and the answer cache are asserted.
     cache_hits:
         Solves whose thermal model came out of a cache.
-    coalesced_batches, coalesced_solves:
-        Worker-pool dispatches that solved a coalesced group of two or
-        more jobs, and the jobs answered that way.  Both stay zero with
-        coalescing disabled (``max_batch=1``), which is what makes the
-        baseline comparable.
     uptime_s, requests_per_s:
         Service age and answered-submissions throughput over it.
         Cache hits and dedup-attached submissions count — every one is
@@ -387,8 +368,6 @@ class ServiceMetrics:
     guard_transitions: int = 0
     reactive_throttles: int = 0
     reactive_pauses: int = 0
-    coalesced_batches: int = 0
-    coalesced_solves: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (the stats wire frame's payload).
@@ -461,19 +440,10 @@ class ServiceMetrics:
                 f"p95 {_format_quantile_ms(snapshot.get('p95'))} "
                 f"({snapshot.get('count', 0)} samples)"
                 for name, snapshot in self.latency.items()
-                # Batch widths are job counts, not durations: rendered
-                # on their own line instead of through the ms formatter.
-                if snapshot.get("count") and name not in BATCH_FAMILIES
+                if snapshot.get("count")
             )
             if pairs:
                 lines.append(f"  latency: {pairs}")
-            batch = self.latency.get("batch_size") or {}
-            if batch.get("count"):
-                lines.append(
-                    f"  batching: size p50 {batch.get('p50', 0.0):g} / "
-                    f"max {batch.get('max', 0.0):g} jobs over "
-                    f"{batch['count']} group dispatches"
-                )
         if self.answer_cache is not None:
             lines.append(f"  {self.answer_cache.describe()}")
         if self.cache is not None:
@@ -540,18 +510,6 @@ def render_metrics_text(metrics: ServiceMetrics) -> str:
                 families.append(counter_family(name, help_text, value))
     if metrics.latency is not None:
         for family_name, snapshot in metrics.latency.items():
-            if family_name in BATCH_FAMILIES:
-                # Dimensionless: jobs per dispatch, so no ``_seconds``
-                # suffix — a scraper must not average it into latency.
-                families.append(
-                    summary_family(
-                        f"repro_{family_name}",
-                        "Jobs per worker-pool dispatch while request "
-                        "coalescing is enabled.",
-                        snapshot,
-                    )
-                )
-                continue
             if family_name.startswith("dwell_"):
                 state = family_name[len("dwell_"):]
                 help_text = (
@@ -649,20 +607,6 @@ class ScheduleService:
         the streamed closed-loop execution.
     reactive_dt:
         Virtual-sensor integration/sampling step (s) for streamed runs.
-    coalesce_window_ms:
-        How long the dispatcher lingers after popping a job to let a
-        burst pile up behind it before draining the queue into a
-        coalesced batch (``0`` = drain only what is already queued).
-        Only meaningful with ``max_batch > 1``.
-    max_batch:
-        Most jobs one worker-pool dispatch may solve as a coalesced
-        group.  ``1`` (the default) disables coalescing entirely and
-        preserves the one-job-per-dispatch behaviour — the benchmark
-        baseline.  Drained jobs are grouped by thermal-model identity
-        (same scenario geometry, or same named SoC) and effective
-        timeout; each group becomes one executor task solving against
-        shared model builds and memoised GEMMs, with per-job outcomes
-        bit-identical to solo solves.
     """
 
     def __init__(
@@ -689,8 +633,6 @@ class ScheduleService:
         reactive_guard: GuardConfig | None = None,
         reactive_config: ReactiveConfig | None = None,
         reactive_dt: float = 5e-3,
-        coalesce_window_ms: float = 0.0,
-        max_batch: int = 1,
     ) -> None:
         if isinstance(backend, ExecutionBackend):
             self._backend = backend
@@ -773,24 +715,12 @@ class ScheduleService:
         if observability:
             # Pre-create the families so an idle service's metrics
             # exposition already lists every histogram at zero.
-            for family in LATENCY_FAMILIES + DWELL_FAMILIES + BATCH_FAMILIES:
+            for family in LATENCY_FAMILIES + DWELL_FAMILIES:
                 self._latency.histogram(family)
         if reactive_dt <= 0.0:
             raise ServiceError(
                 f"reactive_dt must be positive, got {reactive_dt!r}"
             )
-        if max_batch < 1:
-            raise ServiceError(
-                f"max_batch must be >= 1 (1 disables coalescing), "
-                f"got {max_batch!r}"
-            )
-        if coalesce_window_ms < 0.0:
-            raise ServiceError(
-                f"coalesce_window_ms must be >= 0, "
-                f"got {coalesce_window_ms!r}"
-            )
-        self._max_batch = max_batch
-        self._coalesce_window_s = coalesce_window_ms / 1e3
         self._reactive_guard = reactive_guard
         self._reactive_config = reactive_config
         self._reactive_dt = reactive_dt
@@ -827,8 +757,6 @@ class ScheduleService:
         self._solves_started = 0  # guarded-by: event-loop
         self._solves_completed = 0  # guarded-by: event-loop
         self._cache_hits = 0  # guarded-by: event-loop
-        self._coalesced_batches = 0  # guarded-by: event-loop
-        self._coalesced_solves = 0  # guarded-by: event-loop
         self._archive_errors = 0  # guarded-by: event-loop
         self._reactive_runs = 0  # guarded-by: event-loop
         self._guard_transitions = 0  # guarded-by: event-loop
@@ -893,15 +821,9 @@ class ScheduleService:
                 "no TTL" if cache.ttl_s is None else f"TTL {cache.ttl_s:g} s"
             )
             answers = f"answer cache {len(cache)}/{cache.max_entries} ({ttl})"
-        coalesce = ""
-        if self._max_batch > 1:
-            coalesce = (
-                f", coalesce <={self._max_batch} jobs"
-                f"/{self._coalesce_window_s * 1e3:g} ms"
-            )
         return (
             f"backend {self._backend.name!r}, {workers}, "
-            f"queue {self._queue_size}, {answers}{coalesce}"
+            f"queue {self._queue_size}, {answers}"
         )
 
     def _log_event(self, event: str, **fields: Any) -> None:
@@ -938,15 +860,10 @@ class ScheduleService:
             self._heartbeat = asyncio.create_task(self._scale_heartbeat())
         if self._backend.shares_memory:
             self._worker = partial(solve_request_outcome, cache=self._cache)
-            self._batch_worker = partial(
-                solve_requests_batch, cache=self._cache
-            )
         elif self._use_cache:
             self._worker = process_solve
-            self._batch_worker = process_solve_batch
         else:
             self._worker = process_solve_uncached
-            self._batch_worker = process_solve_batch_uncached
         self._started_at = time.perf_counter()
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._accepting = True
@@ -1312,97 +1229,11 @@ class ScheduleService:
                 self._pool.release()
                 raise
             self._pool.clear_idle_claim()
-            if self._max_batch > 1:
-                await self._dispatch_coalesced(job)
-            else:
-                self._spawn_job_task(self._run_job(job))
-
-    def _spawn_job_task(self, coro: "Any") -> None:
-        """Track one job (or group) task for drain and ``in_flight``."""
-        task = asyncio.create_task(coro)
-        self._tasks.add(task)
-        self._job_tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        task.add_done_callback(self._job_tasks.discard)
-
-    @staticmethod
-    def _coalesce_key(job: ServiceJob) -> tuple:
-        """Compatibility class of one job for batch grouping.
-
-        Coarser than the request's content hash: everything that maps
-        to the same thermal *network* (same scenario geometry, or the
-        same named SoC) can share model builds and memoised GEMMs, so
-        requests differing only in limits, solver or power inputs still
-        coalesce.  The effective timeout joins the key because a group
-        runs under a single deadline.
-        """
-        request = job.request
-        if request.scenario is not None:
-            thermal: tuple = ("scenario",) + request.scenario.thermal_key()
-        else:
-            thermal = ("soc", request.soc)
-        return thermal + (job.timeout_s,)
-
-    async def _dispatch_coalesced(self, first: ServiceJob) -> None:
-        """Drain compatible neighbours of one popped job; dispatch groups.
-
-        Called with *first* already popped and its worker slot held.
-        Lingers up to the coalesce window for a burst to pile up, then
-        drains whatever is queued (at most ``max_batch`` jobs in hand),
-        groups by :meth:`_coalesce_key` and dispatches each group as
-        one executor task.  The first group rides the already-held
-        slot; every further group acquires its own, so coalescing never
-        exceeds the pool's admission target.
-        """
-        assert self._queue is not None
-        pending: list[ServiceJob] = [first]
-        slot_held = True
-        try:
-            if (
-                self._coalesce_window_s > 0.0
-                and self._queue.qsize() + 1 < self._max_batch
-            ):
-                await asyncio.sleep(self._coalesce_window_s)
-            while len(pending) < self._max_batch:
-                try:
-                    pending.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            groups: "dict[tuple, list[ServiceJob]]" = {}
-            for job in pending:
-                groups.setdefault(self._coalesce_key(job), []).append(job)
-            for jobs in list(groups.values()):
-                if not slot_held:
-                    await self._pool.acquire()
-                slot_held = False
-                for job in jobs:
-                    pending.remove(job)
-                if self._observability:
-                    self._latency.observe("batch_size", float(len(jobs)))
-                if len(jobs) == 1:
-                    self._spawn_job_task(self._run_job(jobs[0]))
-                else:
-                    self._coalesced_batches += 1
-                    self._coalesced_solves += len(jobs)
-                    self._spawn_job_task(self._run_group(jobs))
-        except asyncio.CancelledError:
-            # Only stop() cancels the dispatcher, and a drain waits for
-            # in-flight jobs first — so this fires only on
-            # stop(drain=False), with jobs in hand that already left
-            # the queue.  They must be answered here or their futures
-            # would dangle past stop()'s no-pending-futures promise.
-            if slot_held:
-                self._pool.release()
-            for job in pending:
-                self._inflight.pop(job.key, None)
-                if not job.future.done():
-                    job.future.set_exception(
-                        ServiceClosedError(
-                            "service stopped before this job ran"
-                        )
-                    )
-                    job.future.exception()  # retrieved: no GC warning
-            raise
+            task = asyncio.create_task(self._run_job(job))
+            self._tasks.add(task)
+            self._job_tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+            task.add_done_callback(self._job_tasks.discard)
 
     async def _scale_heartbeat(self) -> None:
         """Periodic pool observation for adaptive bands.
@@ -1480,86 +1311,6 @@ class ScheduleService:
     def _zombie_done(self, future: "asyncio.Future") -> None:
         self._release_slot()
         self._solves_completed += 1
-        if not future.cancelled():
-            future.exception()  # retrieve, silencing the loop's warning
-
-    async def _run_group(self, jobs: "list[ServiceJob]") -> None:
-        """Run one coalesced group as a single executor task.
-
-        Mirrors :meth:`_run_job` with the group as the unit of
-        execution — one worker slot, one executor dispatch, one
-        deadline (the jobs share a timeout; the coalesce key pins it) —
-        while the accounting stays per job: every member counts in
-        ``solves_started``/``solves_completed``, observes its own
-        ``queue_wait``, and resolves through its own :meth:`_finish`
-        with its own outcome.  The batch worker answers per-request, so
-        a mid-group infeasible request errors alone.
-        """
-        assert self._loop is not None
-        self._solves_started += len(jobs)
-        now = time.perf_counter()
-        for job in jobs:
-            job.queue_wait_s = now - job.submitted_at
-            if self._observability:
-                self._latency.observe("queue_wait", job.queue_wait_s)
-        requests = [job.request for job in jobs]
-        try:
-            worker_future = self._loop.run_in_executor(
-                self._executor, self._batch_worker, requests
-            )
-        except Exception as exc:  # executor refused (shutting down, ...)
-            self._release_slot()
-            for job in jobs:
-                self._finish(job, error_outcome(exc, 0.0))
-            return
-        timeout_s = jobs[0].timeout_s
-        slot_released = False
-        try:
-            if timeout_s is not None:
-                try:
-                    outcomes = await asyncio.wait_for(
-                        asyncio.shield(worker_future), timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    # The whole group shares the zombie worker; every
-                    # member times out and the done-callback frees the
-                    # slot and counts all of them when it finishes.
-                    self._timeouts += len(jobs)
-                    slot_released = True
-                    worker_future.add_done_callback(
-                        partial(self._zombie_group_done, len(jobs))
-                    )
-                    for job in jobs:
-                        self._finish(
-                            job,
-                            SolveOutcome(
-                                status="error",
-                                report=None,
-                                error=(
-                                    f"TimeoutError: solve exceeded its "
-                                    f"{timeout_s:g} s budget"
-                                ),
-                                error_type="TimeoutError",
-                                elapsed_s=timeout_s,
-                            ),
-                        )
-                    return
-            else:
-                outcomes = await worker_future
-        except Exception as exc:  # pool failure: broken pool, pickling, ...
-            outcomes = [error_outcome(exc, 0.0) for _ in jobs]
-        finally:
-            if not slot_released:
-                self._release_slot()
-        self._solves_completed += len(jobs)
-        for job, outcome in zip(jobs, outcomes):
-            self._finish(job, outcome)
-
-    def _zombie_group_done(
-        self, size: int, future: "asyncio.Future"
-    ) -> None:
-        self._release_slot()
-        self._solves_completed += size
         if not future.cancelled():
             future.exception()  # retrieve, silencing the loop's warning
 
@@ -1823,8 +1574,6 @@ class ScheduleService:
             solves_started=self._solves_started,
             solves_completed=self._solves_completed,
             cache_hits=self._cache_hits,
-            coalesced_batches=self._coalesced_batches,
-            coalesced_solves=self._coalesced_solves,
             reactive_runs=self._reactive_runs,
             guard_transitions=self._guard_transitions,
             reactive_throttles=self._reactive_throttles,

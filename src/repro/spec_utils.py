@@ -4,13 +4,15 @@
 :class:`~repro.engine.jobs.JobSpec` both carry a params mapping and the
 same (TL, STCL) limit fields.  The hashing and validation rules live
 here once so the two front doors (and
-:meth:`repro.api.Workbench.solve_soc`) cannot drift; this module sits
+:meth:`repro.api.Workbench.solve_soc` and ``repro schedule``) cannot
+drift; this module sits
 below both ``repro.api`` and ``repro.engine`` in the import graph, so
 either may import it at module level.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 
@@ -77,11 +79,27 @@ def validate_limit_fields(
 ) -> None:
     """Enforce the shared (TL, STCL) field rules of every spec shape.
 
-    Exactly one of the TL pair; ``tl_headroom`` strictly above 1; at
-    most one of the STCL pair, each strictly positive.  Whether an STCL
-    is *required* depends on the solver's capability flag and is
-    checked by the caller.
+    Every set field finite (NaN fails every comparison below, so it
+    must be caught first); exactly one of the TL pair; ``tl_headroom``
+    strictly above 1; at most one of the STCL pair, each strictly
+    positive.  Whether an STCL is *required* depends on the solver's
+    capability flag and is checked by the caller.
     """
+    limits = {
+        "tl_c": tl_c,
+        "tl_headroom": tl_headroom,
+        "stcl": stcl,
+        "stcl_headroom": stcl_headroom,
+    }
+    for name, value in limits.items():
+        if value is None:
+            continue
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise error_cls(f"{prefix}{name} must be a finite number, got {value!r}")
     if (tl_c is None) == (tl_headroom is None):
         raise error_cls(f"{prefix}exactly one of tl_c / tl_headroom is required")
     if tl_headroom is not None and tl_headroom <= 1.0:

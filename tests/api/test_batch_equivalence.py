@@ -1,21 +1,19 @@
-"""Coalesced batch solves must be bit-identical to solo solves.
+"""Solves on a warm shared model cache must equal uncached solves.
 
-The service's request coalescer (PR 10) pushes groups of requests
-through :func:`repro.api.execute_requests_batch`, which shares SoC
-builds, simulator facades and memoised steady-state GEMMs across the
-group.  The entire design rests on one property: **sharing must be
-observationally invisible**.  These tests state it as a property over
-randomly generated floorplans and mixed solvers — every report a batch
-returns equals, field for field, the report a solo solve of the same
-request returns, including the ``steady_solves`` effort accounting.
+Every solve borrows its thermal network from a
+:class:`~repro.engine.cache.ThermalModelCache` when one is on: the
+library's process-wide workbench, the batch runner's workers on
+memory-sharing backends, and the service's thread workers all push
+whole batches of requests through one cache.  The design rests on one
+property: **sharing must be observationally invisible**.  These tests
+state it as a property over randomly generated floorplans and every
+built-in solver — each report a batch of requests gets from one warm
+shared cache equals, field for field, the report a ``use_cache=False``
+solve of the same request returns, ``steady_solves`` included.
 
-Why ``steady_solves`` can match at all: the batch path never *stacks*
-requests into one GEMM (BLAS multi-column products are not bitwise
-equal to their single-column runs).  It memoises — the first request
-needing a given power vector computes it, later ones replay the stored
-array — and the simulator facade charges its effort counter on memo
-hits too, so each request is billed exactly what it would have spent
-alone.
+``steady_solves`` can match because the cache hands every solve its
+own simulator facade over the shared network: the effort counters
+belong to the solve, not to the model.
 """
 
 from __future__ import annotations
@@ -24,8 +22,9 @@ import random
 
 import pytest
 
-from repro.api import ScheduleRequest, execute_request, execute_requests_batch
+from repro.api import ScheduleRequest, Workbench
 from repro.api.request import report_to_dict
+from repro.engine.cache import ThermalModelCache
 from repro.engine.scenarios import ScenarioSpec
 from repro.errors import ReproError
 
@@ -35,6 +34,9 @@ from repro.errors import ReproError
 #: be bit-identical.
 _NONDETERMINISTIC_FIELDS = ("elapsed_s", "timings", "cache_hit")
 
+#: The built-in solvers, each exercised against the shared cache.
+SOLVERS = ("thermal_aware", "sequential", "power_constrained", "random", "optimal")
+
 
 def canonical(report) -> dict:
     """A report's deterministic content, ready for exact comparison."""
@@ -42,6 +44,11 @@ def canonical(report) -> dict:
     for field in _NONDETERMINISTIC_FIELDS:
         data.pop(field, None)
     return data
+
+
+def uncached(request: ScheduleRequest):
+    """A solve on a network built for this request alone."""
+    return Workbench(use_cache=False).solve(request)
 
 
 def random_scenarios(rng: random.Random, count: int) -> list[ScenarioSpec]:
@@ -70,16 +77,17 @@ def random_scenarios(rng: random.Random, count: int) -> list[ScenarioSpec]:
 
 
 def random_requests(seed: int, count: int) -> list[ScheduleRequest]:
-    """A mixed burst: random floorplans, mixed solvers, varied limits.
+    """A mixed burst: random floorplans, every solver, varied limits.
 
-    Scenario duplicates are likely by construction (small seed spaces),
-    so the batch genuinely exercises shared builds and memo hits rather
-    than degenerating into per-request silos.
+    Solvers cycle through :data:`SOLVERS`, so any ``count`` of at least
+    five covers each of them.  Scenario duplicates are likely by
+    construction (small seed spaces), so the shared cache genuinely
+    serves hits rather than degenerating into one model per request.
     """
     rng = random.Random(seed)
     requests = []
-    for spec in random_scenarios(rng, count):
-        solver = rng.choice(["thermal_aware", "sequential", "power_constrained"])
+    for index, spec in enumerate(random_scenarios(rng, count)):
+        solver = SOLVERS[index % len(SOLVERS)]
         kwargs: dict = {"scenario": spec, "solver": solver}
         kwargs["tl_headroom"] = rng.choice([8.0, 12.0, 16.0])
         if solver == "thermal_aware":
@@ -88,19 +96,27 @@ def random_requests(seed: int, count: int) -> list[ScheduleRequest]:
     return requests
 
 
+def warm_workbench(requests: list[ScheduleRequest]) -> Workbench:
+    """A workbench whose cache already holds every request's network."""
+    workbench = Workbench(cache=ThermalModelCache())
+    for request in requests:
+        workbench.solve(request)
+    return workbench
+
+
 class TestBatchEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_batch_reports_bit_identical_to_solo(self, seed):
         requests = random_requests(seed, count=8)
-        batch = execute_requests_batch(requests)
-        assert len(batch) == len(requests)
-        for request, item in zip(requests, batch):
-            solo = execute_request(request)
-            assert not isinstance(item, BaseException), item
-            assert canonical(item) == canonical(solo)
-            # Effort accounting matches exactly: memo hits are charged
-            # like the solves they replay.
-            assert item.steady_solves == solo.steady_solves
+        workbench = warm_workbench(requests)
+        for request in requests:
+            shared = workbench.solve(request)
+            solo = uncached(request)
+            assert shared.cache_hit and not solo.cache_hit
+            assert canonical(shared) == canonical(solo)
+            # Effort accounting matches exactly: the shared network's
+            # facade bills each solve what it would have spent alone.
+            assert shared.steady_solves == solo.steady_solves
 
     def test_same_scenario_varied_limits_share_and_still_match(self):
         spec = ScenarioSpec(kind="grid", rows=3, cols=3, power_seed=7)
@@ -108,9 +124,13 @@ class TestBatchEquivalence:
             ScheduleRequest(scenario=spec, tl_headroom=h, stcl_headroom=5.0)
             for h in (8.0, 10.0, 12.0, 14.0)
         ]
-        batch = execute_requests_batch(requests)
-        for request, item in zip(requests, batch):
-            assert canonical(item) == canonical(execute_request(request))
+        workbench = Workbench(cache=ThermalModelCache())
+        for request in requests:
+            assert canonical(workbench.solve(request)) == canonical(
+                uncached(request)
+            )
+        assert workbench.cache is not None
+        assert len(workbench.cache) == 1
 
     def test_mid_batch_infeasible_request_is_isolated(self):
         spec = ScenarioSpec(kind="grid", rows=2, cols=2, power_seed=3)
@@ -118,18 +138,23 @@ class TestBatchEquivalence:
         # An absolute limit below ambient cannot be met by any core.
         bad = ScheduleRequest(scenario=spec, tl_c=1.0, stcl=60.0)
         tail = ScheduleRequest(scenario=spec, tl_headroom=14.0, stcl_headroom=5.0)
-        batch = execute_requests_batch([good, bad, tail])
-        assert canonical(batch[0]) == canonical(execute_request(good))
-        assert isinstance(batch[1], ReproError)
-        with pytest.raises(type(batch[1])):
-            execute_request(bad)
-        # The neighbour *after* the failure still matches solo exactly:
-        # the error neither poisoned the shared build nor the memo.
-        assert canonical(batch[2]) == canonical(execute_request(tail))
+        workbench = Workbench(cache=ThermalModelCache())
+        assert canonical(workbench.solve(good)) == canonical(uncached(good))
+        with pytest.raises(ReproError) as shared_error:
+            workbench.solve(bad)
+        with pytest.raises(type(shared_error.value)):
+            uncached(bad)
+        # The request *after* the failure still matches solo exactly:
+        # the error did not poison the shared model.
+        assert canonical(workbench.solve(tail)) == canonical(uncached(tail))
 
     def test_batch_outputs_independent_of_group_order(self):
         requests = random_requests(seed=4, count=6)
-        forward = execute_requests_batch(requests)
-        backward = execute_requests_batch(list(reversed(requests)))
+        forward_bench = Workbench(cache=ThermalModelCache())
+        backward_bench = Workbench(cache=ThermalModelCache())
+        forward = [forward_bench.solve(request) for request in requests]
+        backward = [
+            backward_bench.solve(request) for request in reversed(requests)
+        ]
         for a, b in zip(forward, reversed(backward)):
             assert canonical(a) == canonical(b)

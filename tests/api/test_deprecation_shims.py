@@ -1,9 +1,8 @@
-"""The old constructors keep working — via warning shims at the root.
+"""The scheduler classes live under ``repro.core``, not the root.
 
-Direct construction predates the unified solver API; the package root
-still serves those names so existing scripts run, but each access
-carries a DeprecationWarning pointing at ``solve(request)`` and at the
-canonical (non-deprecated) home under ``repro.core``.
+Direct construction predates the unified solver API; the classes stay
+first-class, warning-free citizens at their canonical homes, and the
+package root no longer re-exports them.
 """
 
 from __future__ import annotations
@@ -11,31 +10,6 @@ from __future__ import annotations
 import pytest
 
 import repro
-import repro.core
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "ThermalAwareScheduler",
-        "PowerConstrainedScheduler",
-        "PowerConstrainedConfig",
-        "sequential_schedule",
-    ],
-)
-def test_root_access_warns_and_resolves(name):
-    with pytest.warns(DeprecationWarning, match="unified solver API"):
-        shimmed = getattr(repro, name)
-    assert shimmed is getattr(repro.core, name)
-
-
-def test_old_scheduler_call_shape_still_works():
-    from repro.soc.library import alpha15_soc
-
-    with pytest.warns(DeprecationWarning):
-        scheduler_cls = repro.ThermalAwareScheduler
-    result = scheduler_cls(alpha15_soc()).schedule(tl_c=175.0, stcl=40.0)
-    assert result.max_temperature_c < 175.0
 
 
 def test_canonical_homes_do_not_warn(recwarn):
@@ -55,8 +29,7 @@ def test_reduced_fast_path_names_are_first_class(recwarn):
 
     They live at the package root *and* under ``repro.thermal`` with no
     DeprecationWarning on access, and both spellings resolve to the
-    same objects — keeping the shim table and the canonical homes in
-    sync as the API grows.
+    same objects, so the two homes cannot drift as the API grows.
     """
     import repro.thermal
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import pytest
@@ -48,6 +49,22 @@ class TestValidation:
     def test_stcl_must_be_positive(self):
         with pytest.raises(RequestError, match="positive"):
             ScheduleRequest(soc="alpha15", tl_c=100.0, stcl=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, valid",
+        [
+            ("tl_c", {"stcl": 60.0}),
+            ("tl_headroom", {"stcl": 60.0}),
+            ("stcl", {"tl_c": 165.0}),
+            ("stcl_headroom", {"tl_c": 165.0}),
+        ],
+    )
+    def test_non_finite_limits_rejected(self, field, valid, bad):
+        # NaN fails every comparison, so a range check alone would let
+        # it through to an "ok" report.
+        with pytest.raises(RequestError, match=f"{field} must be a finite"):
+            ScheduleRequest(soc="alpha15", **valid, **{field: bad})
 
     def test_solver_name_required(self):
         with pytest.raises(RequestError, match="solver"):

@@ -13,7 +13,6 @@ from repro.api import ScheduleRequest, Solver, register_solver
 from repro.core.baselines import sequential_schedule
 from repro.obs import JsonLogger
 from repro.service import (
-    BATCH_FAMILIES,
     DWELL_FAMILIES,
     LATENCY_FAMILIES,
     METRIC_FIELDS,
@@ -157,11 +156,9 @@ class TestMetricFieldTable:
     def test_every_latency_family_has_a_histogram(self):
         async def main():
             async with ScheduleService(backend="thread", max_workers=1) as svc:
-                assert set(svc.latency_histograms.names()) == (
-                    set(LATENCY_FAMILIES)
-                    | set(DWELL_FAMILIES)
-                    | set(BATCH_FAMILIES)
-                )
+                assert set(svc.latency_histograms.names()) == set(
+                    LATENCY_FAMILIES
+                ) | set(DWELL_FAMILIES)
 
         asyncio.run(main())
 

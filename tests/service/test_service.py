@@ -324,6 +324,35 @@ class TestBackpressure:
         asyncio.run(main())
 
 
+class TestBusyRetryHint:
+    def test_measured_zero_p50_is_not_discarded(self):
+        """Regression: ``or`` treated a measured p50 of 0.0 s as absent.
+
+        A histogram whose every solve observation is exactly 0.0 has
+        p50 == 0.0 (quantiles clamp to [min, max]); the hint must use
+        it — idle queue, sub-resolution solves → the 0.05 s floor —
+        instead of falling back to the 0.5 s prior.
+        """
+
+        async def main():
+            async with ScheduleService(backend="thread", max_workers=1) as svc:
+                svc.latency_histograms.observe("solve", 0.0)
+                snap = svc.latency_histograms.snapshot()["solve"]
+                assert snap["p50"] == 0.0  # the premise of the bug
+                assert svc._busy_retry_after_s() == pytest.approx(0.05)
+
+        asyncio.run(main())
+
+    def test_absent_p50_still_uses_the_prior(self):
+        async def main():
+            async with ScheduleService(backend="thread", max_workers=1) as svc:
+                # No solve observed yet: the 0.5 s prior applies
+                # (empty queue, one worker -> one median solve).
+                assert svc._busy_retry_after_s() == pytest.approx(0.5)
+
+        asyncio.run(main())
+
+
 class TestTimeouts:
     def test_per_request_timeout_times_out(self):
         async def main():

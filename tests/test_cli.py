@@ -70,6 +70,11 @@ class TestBuiltinSoc:
         assert exit_code == 1
         assert "stcl" in capsys.readouterr().err.lower()
 
+    def test_non_finite_limit_is_an_error(self, capsys):
+        exit_code = main(["--soc", "alpha15", "--tl", "nan", "--stcl", "60"])
+        assert exit_code == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestCustomSoc:
     def test_flp_plus_csv_flow(self, custom_soc_files, capsys):
