@@ -375,24 +375,32 @@ class ThermalAwareScheduler:
         raise SchedulingError(f"unknown candidate order {order!r}")
 
     def _grow_session(
-        self, pending: list[str], stcl: float, weights: WeightStore
-    ) -> list[str]:
+        self, pending: list[str], stcl: float, weights: Mapping[str, float]
+    ) -> tuple[list[str], dict[str, float]]:
         """Lines 9-15: greedily admit cores while STC stays within STCL.
 
         The STC of each tentative candidate is maintained incrementally
         (:class:`~repro.core.session_model.SessionGrowth`): admitting a
         core only rewires its direct neighbours' escape paths, so only
         those contributions are recomputed — bit-identical to the
-        from-scratch evaluation, without the O(session * degree) rescan
-        per candidate.
+        from-scratch evaluation, at O(degree) contribution evaluations
+        per candidate whatever the session size.  Every pending core is
+        still priced once per session, so one growth pass costs
+        O(pending * degree).
+
+        Returns the admitted cores and the STC each candidate was priced
+        at.  When nothing was admitted, every price is the candidate's
+        singleton STC.
         """
-        growth = self._model.start_session(weights.as_mapping())
+        growth = self._model.start_session(weights)
         session: list[str] = []
+        priced: dict[str, float] = {}
         for candidate in self._ordered(pending):
-            if growth.stc_if_added(candidate) <= stcl:
+            stc = priced[candidate] = growth.stc_if_added(candidate)
+            if stc <= stcl:
                 growth.add(candidate)
                 session.append(candidate)
-        return session
+        return session, priced
 
     # -- the full flow ----------------------------------------------------------------
 
@@ -441,7 +449,9 @@ class ThermalAwareScheduler:
 
         while pending:
             iteration += 1
-            session_cores = self._grow_session(pending, stcl, weights)
+            session_cores, priced = self._grow_session(
+                pending, stcl, weights.as_mapping()
+            )
             if not session_cores:
                 if self._config.on_stuck == "error":
                     raise ScheduleInfeasibleError(
@@ -449,13 +459,10 @@ class ThermalAwareScheduler:
                         f"(pending: {pending}); weights may have escalated past "
                         f"the limit"
                     )
-                weight_map = weights.as_mapping()
-                best = min(
-                    pending,
-                    key=lambda c: self._model.session_thermal_characteristic(
-                        [c], weight_map
-                    ),
-                )
+                # Nothing was admitted, so growth priced every pending core
+                # as a singleton; scanning in pending order keeps the ties
+                # of the from-scratch pick under every candidate order.
+                best = min(pending, key=priced.__getitem__)
                 session_cores = [best]
                 forced_singletons += 1
 

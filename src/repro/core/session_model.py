@@ -48,9 +48,10 @@ substitution 3).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from ..errors import SchedulingError
 from ..floorplan.adjacency import AdjacencyMap
@@ -167,6 +168,17 @@ class SessionThermalModel:
             for block in floorplan
         }
 
+        # What pricing a core reads, gathered once: the escape paths
+        # that do not depend on the session (die edge when present, then
+        # the vertical stack when modelled) and the test power.
+        self._fixed_paths: dict[str, tuple[float, ...]] = {}
+        for name in floorplan.block_names:
+            fixed = [] if math.isinf(self._edge_r[name]) else [self._edge_r[name]]
+            if config.include_vertical:
+                fixed.append(self._vertical_r[name])
+            self._fixed_paths[name] = tuple(fixed)
+        self._power: dict[str, float] = soc.test_power_map()
+
     # -- introspection ----------------------------------------------------------
 
     @property
@@ -217,32 +229,51 @@ class SessionThermalModel:
         active:
             All cores of the candidate session, including *core*.
         """
-        active_set = frozenset(active)
+        active_list = list(active)
+        self._require_known([core, *active_list])
+        active_set = frozenset(active_list)
         if core not in active_set:
             raise SchedulingError(
                 f"core {core!r} must be part of the active set it is "
                 f"evaluated against"
             )
-        paths: list[float] = []
-        for neighbour, resistance in self._neighbour_r[core].items():
-            if neighbour in active_set:
-                # Active neighbour: dropped under M2; kept (grounded) in
-                # the no-M2 ablation.
-                if not self._config.drop_active_active:
-                    paths.append(resistance)
-            else:
-                # Passive neighbour: grounded under M3; absent in the
-                # no-M3 ablation.
-                if self._config.ground_passive:
-                    paths.append(resistance)
-        edge = self._edge_r[core]
-        if not math.isinf(edge):
-            paths.append(edge)
-        if self._config.include_vertical:
-            paths.append(self._vertical_r[core])
+        return self._rth(core, active_set)
+
+    def _require_known(self, cores: Iterable[str]) -> None:
+        for core in cores:
+            if core not in self._neighbour_r:
+                raise SchedulingError(f"unknown core {core!r}")
+
+    def _rth(self, core: str, active: Container[str]) -> float:
+        """``Rth`` of a known *core* against the active-set membership test."""
+        # An active neighbour's path is dropped under M2 (kept, grounded,
+        # in the no-M2 ablation); a passive neighbour's is grounded under
+        # M3 (absent in the no-M3 ablation).
+        keep_active = not self._config.drop_active_active
+        keep_passive = self._config.ground_passive
+        paths = [
+            resistance
+            for neighbour, resistance in self._neighbour_r[core].items()
+            if (keep_active if neighbour in active else keep_passive)
+        ]
+        paths.extend(self._fixed_paths[core])
         if not paths:
             return math.inf
         return parallel(*paths)
+
+    def _contribution(
+        self,
+        core: str,
+        active: Container[str],
+        weights: Mapping[str, float] | None,
+    ) -> float:
+        """Unscaled STC term ``TC * P * W`` of a known *core* (``inf`` if trapped)."""
+        rth = self._rth(core, active)
+        if math.isinf(rth):
+            return math.inf
+        power = self._power[core]
+        weight = 1.0 if weights is None else weights.get(core, 1.0)
+        return power * rth * power * weight
 
     def thermal_characteristic(self, core: str, active: Iterable[str]) -> float:
         """``TC_TS(core) = P(core) * Rth_TS(core)`` (kelvin-rise estimate)."""
@@ -273,20 +304,23 @@ class SessionThermalModel:
             The STC value; ``math.inf`` when any active core has no
             escape path.
         """
-        active_list = list(active)
-        if not active_list:
-            return 0.0
-        if len(set(active_list)) != len(active_list):
-            raise SchedulingError(f"duplicate cores in session: {active_list}")
+        active_list = self._session_cores(active)
+        active_set = frozenset(active_list)
         worst = 0.0
         for core in active_list:
-            tc = self.thermal_characteristic(core, active_list)
-            if math.isinf(tc):
+            contribution = self._contribution(core, active_set, weights)
+            if math.isinf(contribution):
                 return math.inf
-            weight = 1.0 if weights is None else weights.get(core, 1.0)
-            contribution = tc * self._soc[core].test_power_w * weight
             worst = max(worst, contribution)
         return worst / self._config.stc_scale
+
+    def _session_cores(self, active: Iterable[str]) -> list[str]:
+        """*active* as a list of known, distinct cores."""
+        active_list = list(active)
+        if len(set(active_list)) != len(active_list):
+            raise SchedulingError(f"duplicate cores in session: {active_list}")
+        self._require_known(active_list)
+        return active_list
 
     def start_session(
         self, weights: Mapping[str, float] | None = None
@@ -294,14 +328,13 @@ class SessionThermalModel:
         """An incremental accumulator for greedy session growth.
 
         The scheduler's growth loop evaluates ``STC(S + [c])`` for every
-        tentative candidate ``c``; recomputing every member's
-        contribution from scratch each time is O(|S| * degree) per
-        candidate.  A :class:`SessionGrowth` keeps the members' current
-        contributions and, per candidate, recomputes only the cores
-        whose escape paths the candidate actually changes (its
-        neighbours) — producing **bit-identical** STC values, because
-        an unaffected core's contribution depends only on which of its
-        own neighbours are active.
+        tentative candidate ``c``.  A :class:`SessionGrowth` prices each
+        candidate in O(degree * log |S|): it recomputes only the
+        contributions the candidate changes (its own and its admitted
+        neighbours') and takes the max over the rest from a heap,
+        producing **bit-identical** STC values, because an unaffected
+        core's contribution depends only on which of its own neighbours
+        are active.
         """
         return SessionGrowth(self, weights)
 
@@ -311,30 +344,35 @@ class SessionThermalModel:
         weights: Mapping[str, float] | None = None,
     ) -> dict[str, float]:
         """Per-core ``TC * P * W / scale`` terms of the STC max (diagnostics)."""
-        active_list = list(active)
-        contributions: dict[str, float] = {}
-        for core in active_list:
-            tc = self.thermal_characteristic(core, active_list)
-            weight = 1.0 if weights is None else weights.get(core, 1.0)
-            if math.isinf(tc):
-                contributions[core] = math.inf
-            else:
-                contributions[core] = (
-                    tc * self._soc[core].test_power_w * weight / self._config.stc_scale
-                )
-        return contributions
+        active_list = self._session_cores(active)
+        active_set = frozenset(active_list)
+        return {
+            core: self._contribution(core, active_set, weights)
+            / self._config.stc_scale
+            for core in active_list
+        }
 
 
 class SessionGrowth:
     """Incrementally maintained STC of one growing test session.
 
     Created by :meth:`SessionThermalModel.start_session`.  Maintains
-    the admitted cores and their **unscaled** STC contributions
-    (``TC * P * W``); :meth:`stc_if_added` prices a tentative candidate
+    the admitted cores as a live set, their **unscaled** STC
+    contributions (``TC * P * W``) and a max-heap over those
+    contributions.  :meth:`stc_if_added` prices a tentative candidate
     by recomputing only the contributions the candidate perturbs — the
-    candidate itself and its already-admitted neighbours (adding an
-    active core only rewires its direct neighbours' escape paths) —
-    and taking the max against the untouched remainder.
+    candidate itself and its admitted neighbours, read from the
+    candidate's neighbour map (adding an active core only rewires its
+    direct neighbours' escape paths) — and taking the max against the
+    untouched remainder: the heap top, after setting aside at most
+    ``degree`` entries of perturbed members.  Per candidate that is
+    O(degree) contribution evaluations plus O(degree * log |S|) heap
+    work, independent of the session size otherwise.
+
+    The heap deletes lazily: :meth:`add` pushes a fresh entry for each
+    changed contribution, and an entry counts only while it is the
+    member's live one; stale entries are dropped when they reach the
+    top.
 
     Equivalence: for any admission sequence, :meth:`stc_if_added`
     returns exactly
@@ -350,68 +388,86 @@ class SessionGrowth:
     ) -> None:
         self._model = model
         self._weights = weights
-        self._active: list[str] = []
-        #: Unscaled contribution (TC * P * W) per admitted core.
-        self._contrib: dict[str, float] = {}
+        #: Admitted cores (plus, while one is priced, the candidate).
+        self._members: set[str] = set()
+        #: The live heap entry ``(-contribution, core)`` of each admitted
+        #: core, keyed in admission order; contributions are unscaled
+        #: (``TC * P * W``).
+        self._entry: dict[str, tuple[float, str]] = {}
+        #: Max-heap of ``(-contribution, core)`` entries, deleted lazily.
+        self._heap: list[tuple[float, str]] = []
 
     @property
     def cores(self) -> tuple[str, ...]:
         """The admitted cores, in admission order."""
-        return tuple(self._active)
-
-    def _contribution(self, core: str, active: list[str]) -> float:
-        tc = self._model.thermal_characteristic(core, active)
-        if math.isinf(tc):
-            return math.inf
-        weight = 1.0 if self._weights is None else self._weights.get(core, 1.0)
-        return tc * self._model.soc[core].test_power_w * weight
+        return tuple(self._entry)
 
     def _affected_members(self, candidate: str) -> list[str]:
         """Admitted cores whose escape paths *candidate* rewires."""
+        if candidate in self._members:
+            raise SchedulingError(
+                f"core {candidate!r} is already part of the session"
+            )
         try:
             neighbours = self._model._neighbour_r[candidate]
         except KeyError:
             raise SchedulingError(f"unknown core {candidate!r}") from None
-        return [core for core in self._active if core in neighbours]
+        return [core for core in neighbours if core in self._members]
+
+    def _max_unchanged(self, affected: list[str]) -> float:
+        """Largest contribution among members not in *affected* (0.0 if none)."""
+        heap = self._heap
+        set_aside: list[tuple[float, str]] = []
+        worst = 0.0
+        while heap:
+            entry = heap[0]
+            core = entry[1]
+            if self._entry.get(core) is not entry:
+                heapq.heappop(heap)
+            elif core in affected:
+                set_aside.append(heapq.heappop(heap))
+            else:
+                worst = -entry[0]
+                break
+        for entry in set_aside:
+            heapq.heappush(heap, entry)
+        return worst
 
     def stc_if_added(self, candidate: str) -> float:
         """``STC(session + [candidate])`` without committing the candidate."""
-        if candidate in self._contrib:
-            raise SchedulingError(
-                f"core {candidate!r} is already part of the session"
-            )
         affected = self._affected_members(candidate)
-        tentative = self._active + [candidate]
-        worst = 0.0
-        if self._contrib:
-            unchanged = self._contrib.keys() - set(affected)
-            if unchanged:
-                worst = max(self._contrib[core] for core in unchanged)
+        worst = self._max_unchanged(affected)
         if math.isinf(worst):
             return math.inf
-        for core in affected + [candidate]:
-            contribution = self._contribution(core, tentative)
-            if math.isinf(contribution):
-                return math.inf
-            worst = max(worst, contribution)
+        self._members.add(candidate)
+        try:
+            for core in affected + [candidate]:
+                contribution = self._model._contribution(
+                    core, self._members, self._weights
+                )
+                if math.isinf(contribution):
+                    return math.inf
+                worst = max(worst, contribution)
+        finally:
+            self._members.discard(candidate)
         return worst / self._model.config.stc_scale
 
     def add(self, candidate: str) -> None:
         """Admit *candidate*, updating the perturbed contributions."""
-        if candidate in self._contrib:
-            raise SchedulingError(
-                f"core {candidate!r} is already part of the session"
-            )
         affected = self._affected_members(candidate)
-        self._active.append(candidate)
+        self._members.add(candidate)
         for core in affected + [candidate]:
-            self._contrib[core] = self._contribution(core, self._active)
+            contribution = self._model._contribution(
+                core, self._members, self._weights
+            )
+            entry = (-contribution, core)
+            if self._entry.get(core) != entry:
+                self._entry[core] = entry
+                heapq.heappush(self._heap, entry)
 
     def stc(self) -> float:
         """STC of the session as admitted so far (0.0 when empty)."""
-        if not self._contrib:
-            return 0.0
-        worst = max(self._contrib.values())
+        worst = self._max_unchanged([])
         if math.isinf(worst):
             return math.inf
         return worst / self._model.config.stc_scale

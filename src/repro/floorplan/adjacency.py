@@ -27,7 +27,7 @@ import networkx as nx
 
 from ..errors import FloorplanError
 from .floorplan import Floorplan
-from .geometry import GEOM_TOL, Side, boundary_exposure, shared_edge
+from .geometry import GEOM_TOL, Side, boundary_exposure, near_pairs, shared_edge
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,13 @@ class BoundarySegment:
 class AdjacencyMap:
     """Precomputed adjacency information for one floorplan.
 
-    Built once (O(n^2) in the number of blocks) and then queried by the
-    thermal network builder and by the session thermal model.
+    Built once and then queried by the thermal network builder and by
+    the session thermal model.  Only the block pairs a sweep finds near
+    each other (:func:`~repro.floorplan.geometry.near_pairs`) are tested
+    with :func:`~repro.floorplan.geometry.shared_edge`, about O(n * k)
+    work for a floorplan k blocks tall.  Interfaces are recorded in
+    ``(i, j)`` block-index order, which fixes the order of
+    :attr:`interfaces` and of every :meth:`interfaces_of` list.
     """
 
     def __init__(self, floorplan: Floorplan, tol: float = GEOM_TOL) -> None:
@@ -92,18 +97,18 @@ class AdjacencyMap:
         }
 
         blocks = list(floorplan)
-        for i, a in enumerate(blocks):
-            for b in blocks[i + 1 :]:
-                edge = shared_edge(a.rect, b.rect, tol)
-                if edge is None:
-                    continue
-                side_of_a, length = edge
-                first, second = sorted((a.name, b.name))
-                side = side_of_a if first == a.name else side_of_a.opposite
-                interface = Interface(first, second, side, length)
-                self._interfaces.append(interface)
-                self._by_block[a.name].append(interface)
-                self._by_block[b.name].append(interface)
+        for i, j in near_pairs([block.rect for block in blocks], tol):
+            a, b = blocks[i], blocks[j]
+            edge = shared_edge(a.rect, b.rect, tol)
+            if edge is None:
+                continue
+            side_of_a, length = edge
+            first, second = sorted((a.name, b.name))
+            side = side_of_a if first == a.name else side_of_a.opposite
+            interface = Interface(first, second, side, length)
+            self._interfaces.append(interface)
+            self._by_block[a.name].append(interface)
+            self._by_block[b.name].append(interface)
 
         for block in blocks:
             exposure = boundary_exposure(block.rect, floorplan.outline, tol)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from ..errors import FloorplanError, GeometryError
-from .geometry import GEOM_TOL, Rect, bounding_box, total_area
+from .geometry import GEOM_TOL, Rect, bounding_box, near_pairs, total_area
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,19 @@ class Floorplan:
     def _check_no_overlap(self) -> None:
         """Reject interior overlaps between any pair of blocks.
 
-        O(n^2) over block pairs; block-level floorplans have tens of
-        blocks, so a sweep-line would be over-engineering here.
+        Only the pairs a sweep finds near each other are tested
+        (:func:`~repro.floorplan.geometry.near_pairs`), in ``(i, j)``
+        block-index order, so the first overlapping pair reported is the
+        one an all-pairs scan would report.
         """
-        for i, a in enumerate(self._blocks):
-            for b in self._blocks[i + 1 :]:
-                if a.rect.overlaps(b.rect):
-                    overlap = a.rect.overlap_area(b.rect)
-                    raise FloorplanError(
-                        f"blocks {a.name!r} and {b.name!r} overlap "
-                        f"(intersection area {overlap:.3e} m^2)"
-                    )
+        for i, j in near_pairs([block.rect for block in self._blocks]):
+            a, b = self._blocks[i], self._blocks[j]
+            if a.rect.overlaps(b.rect):
+                overlap = a.rect.overlap_area(b.rect)
+                raise FloorplanError(
+                    f"blocks {a.name!r} and {b.name!r} overlap "
+                    f"(intersection area {overlap:.3e} m^2)"
+                )
 
     # -- identity & iteration --------------------------------------------------
 

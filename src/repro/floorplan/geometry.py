@@ -230,6 +230,44 @@ def shared_edge(a: Rect, b: Rect, tol: float = GEOM_TOL) -> tuple[Side, float] |
     return None
 
 
+def near_pairs(rects: list[Rect], tol: float = GEOM_TOL) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, of rectangles that may touch.
+
+    A sweep along x: rectangles are visited in order of their left
+    edge, and each is compared (on y) only against the rectangles whose
+    x-range still reaches it, so a floorplan that is k blocks tall costs
+    O(n * k) comparisons instead of all n^2 pairs.
+
+    The result is a *superset* filter, sorted in ``(i, j)`` order: every
+    pair for which :func:`shared_edge` (at *tol*) or :meth:`Rect.overlaps`
+    can hold is included, because each rectangle is grown by a pad wider
+    than *tol* (by a margin that absorbs the rounding of the coordinate
+    arithmetic) before the closed boxes are intersected.  Callers still
+    decide each pair with those exact tests.
+    """
+    if not rects:
+        return []
+    extent = max(
+        max(abs(r.x), abs(r.y), abs(r.x2), abs(r.y2)) for r in rects
+    )
+    pad = 2.0 * abs(tol) + 1e-9 * extent
+    x1 = [r.x - pad for r in rects]
+    x2 = [r.x2 + pad for r in rects]
+    y1 = [r.y - pad for r in rects]
+    y2 = [r.y2 + pad for r in rects]
+    pairs: list[tuple[int, int]] = []
+    reaching: list[int] = []
+    for i in sorted(range(len(rects)), key=x1.__getitem__):
+        start = x1[i]
+        reaching = [j for j in reaching if x2[j] >= start]
+        for j in reaching:
+            if y1[j] <= y2[i] and y1[i] <= y2[j]:
+                pairs.append((i, j) if i < j else (j, i))
+        reaching.append(i)
+    pairs.sort()
+    return pairs
+
+
 def boundary_exposure(block: Rect, outline: Rect, tol: float = GEOM_TOL) -> dict[Side, float]:
     """Length of each side of *block* that lies on the *outline* boundary.
 

@@ -24,11 +24,16 @@ from hypothesis import strategies as st
 from repro.core.scheduler import SchedulerConfig, ThermalAwareScheduler
 from repro.core.session_model import SessionModelConfig, SessionThermalModel
 from repro.errors import SchedulingError
-from repro.floorplan.generator import slicing_floorplan
-from repro.power.generator import PowerGeneratorConfig, generate_power_profile
+from repro.floorplan.generator import grid_floorplan, slicing_floorplan
+from repro.power.generator import (
+    PowerGeneratorConfig,
+    generate_power_profile,
+    uniform_test_power_profile,
+)
 from repro.soc.library import (
     ALPHA15_STC_SCALE,
     alpha15_soc,
+    grid_soc,
     hypothetical7_soc,
 )
 from repro.soc.system import SocUnderTest
@@ -217,3 +222,139 @@ class TestSessionGrowth:
     def test_empty_session_stc_is_zero(self, soc):
         model = SessionThermalModel(soc)
         assert model.start_session().stc() == 0.0
+
+
+class TestGrowthCost:
+    def test_pricing_evaluates_only_the_candidate_and_its_admitted_neighbours(
+        self,
+    ):
+        """Pricing a candidate costs O(degree), however large the session."""
+        soc = grid_soc(16, 16, seed=5)
+        model = SessionThermalModel(soc)
+        evaluated: list[str] = []
+        contribution = model._contribution
+
+        def counting(core, active, weights):
+            evaluated.append(core)
+            return contribution(core, active, weights)
+
+        model._contribution = counting
+        names = list(soc.core_names)
+        random.Random(11).shuffle(names)
+        singles = sorted(model.session_thermal_characteristic([n]) for n in names)
+        threshold = 1.5 * singles[len(singles) // 2]
+        weights = {n: 1.0 + (i % 7) / 10.0 for i, n in enumerate(names)}
+
+        growth = model.start_session(weights)
+        session: list[str] = []
+        for candidate in names:
+            evaluated.clear()
+            stc = growth.stc_if_added(candidate)
+            admitted_neighbours = set(
+                model.neighbour_resistances(candidate)
+            ).intersection(session)
+            assert len(evaluated) <= 1 + len(admitted_neighbours)
+            assert set(evaluated) <= admitted_neighbours | {candidate}
+            scratch = model.session_thermal_characteristic(
+                session + [candidate], weights
+            )
+            assert stc == scratch or (math.isinf(stc) and math.isinf(scratch))
+            if stc <= threshold:
+                growth.add(candidate)
+                session.append(candidate)
+        # Mid-growth for real: the session grew large while being priced.
+        assert 40 <= len(session) < len(names)
+        assert growth.stc() == model.session_thermal_characteristic(session, weights)
+
+
+def uniform_grid_soc(rows: int, cols: int) -> SocUnderTest:
+    """Equal powers on a grid: symmetric cores tie on singleton STC."""
+    plan = grid_floorplan(rows, cols)
+    return SocUnderTest.from_profile(plan, uniform_test_power_profile(plan, 4.0))
+
+
+def coarsen(model: SessionThermalModel, levels: int) -> None:
+    """Round the model's contributions up onto a few levels, so cores of
+    different power (and so different positions in a sorted candidate
+    order) tie on singleton STC."""
+    contribution = model._contribution
+    singles = [contribution(n, {n}, None) for n in model.soc.core_names]
+    step = max(singles) / levels
+
+    def coarse(core, active, weights):
+        value = contribution(core, active, weights)
+        return value if math.isinf(value) else math.ceil(value / step) * step
+
+    model._contribution = coarse
+
+
+class TestForcedSingletons:
+    @pytest.mark.parametrize(
+        "order", ["input", "power_desc", "area_asc", "density_desc"]
+    )
+    @pytest.mark.parametrize(
+        "soc_factory, levels",
+        [
+            (lambda: grid_soc(5, 5, seed=3), None),
+            (lambda: grid_soc(5, 5, seed=3), 4),
+            (lambda: uniform_grid_soc(4, 4), None),
+        ],
+        ids=["random-powers", "random-powers-coarse", "uniform-powers"],
+    )
+    def test_forced_pick_is_the_lowest_singleton_stc_in_pending_order(
+        self, soc_factory, levels, order
+    ):
+        soc = soc_factory()
+        model = SessionThermalModel(soc)
+        if levels is not None:
+            coarsen(model, levels)
+        scheduler = ThermalAwareScheduler(
+            soc,
+            session_model=model,
+            config=SchedulerConfig(candidate_order=order),
+        )
+        bcmt, _ = scheduler.best_case_max_temperatures()
+        singles = sorted(
+            model.session_thermal_characteristic([n]) for n in soc.core_names
+        )
+        # About a quarter of the cores never fit even an empty session,
+        # and TL sits just above the hottest singleton, so sessions also
+        # get discarded and weights escalate between forced picks.
+        stcl = singles[3 * len(singles) // 4]
+        tl_c = max(bcmt.values()) + 0.2
+
+        events: list[tuple[str, object]] = []
+        order_sensitive = 0
+        grow = scheduler._grow_session
+        validate = scheduler._session_temperatures
+
+        def spy_grow(pending, stcl_, weights):
+            nonlocal order_sensitive
+            grown = grow(pending, stcl_, weights)
+            if not grown[0]:
+
+                def singleton_stc(core):
+                    return model.session_thermal_characteristic([core], weights)
+
+                expected = min(pending, key=singleton_stc)
+                events.append(("forced", expected))
+                if min(scheduler._ordered(pending), key=singleton_stc) != expected:
+                    order_sensitive += 1
+            return grown
+
+        def spy_validate(power_map, duration_s, cores):
+            events.append(("validated", list(cores)))
+            return validate(power_map, duration_s, cores)
+
+        scheduler._grow_session = spy_grow
+        scheduler._session_temperatures = spy_validate
+        result = scheduler.schedule(tl_c, stcl)
+
+        forced = [i for i, (kind, _) in enumerate(events) if kind == "forced"]
+        assert len(forced) == result.forced_singletons > 0
+        assert result.discarded
+        for i in forced:
+            assert events[i + 1] == ("validated", [events[i][1]])
+        if levels is not None and order in ("power_desc", "density_desc"):
+            # Ties that a scan in growth order would break differently.
+            assert order_sensitive > 0

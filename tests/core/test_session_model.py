@@ -108,6 +108,32 @@ class TestEquivalentResistanceAlgebra:
         with pytest.raises(SchedulingError):
             example_model.vertical_resistance("zz")
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda model: model.equivalent_resistance("zz", ["zz"]),
+            lambda model: model.equivalent_resistance("B2", ["B2", "zz"]),
+            lambda model: model.thermal_characteristic("zz", ["zz"]),
+            lambda model: model.session_thermal_characteristic(["zz"]),
+            lambda model: model.session_thermal_characteristic(["B2", "zz"]),
+            lambda model: model.core_contributions(["zz"]),
+            lambda model: model.core_contributions(["B2", "zz"]),
+        ],
+        ids=[
+            "equivalent_resistance",
+            "equivalent_resistance-mixed",
+            "thermal_characteristic",
+            "stc",
+            "stc-mixed",
+            "core_contributions",
+            "core_contributions-mixed",
+        ],
+    )
+    def test_unknown_core_is_a_scheduling_error(self, example_model, evaluate):
+        # A domain error (ReproError), not a bare KeyError from a lookup.
+        with pytest.raises(SchedulingError, match="unknown core 'zz'"):
+            evaluate(example_model)
+
 
 class TestModificationAblations:
     def test_no_m2_keeps_active_active_paths(self, example_soc):
@@ -168,6 +194,8 @@ class TestThermalCharacteristic:
     def test_duplicate_cores_rejected(self, example_model):
         with pytest.raises(SchedulingError, match="duplicate"):
             example_model.session_thermal_characteristic(["B2", "B2"])
+        with pytest.raises(SchedulingError, match="duplicate"):
+            example_model.core_contributions(["B2", "B3", "B2"])
 
     def test_weights_scale_contributions(self, example_model):
         active = list(WORKED_EXAMPLE_SESSION)

@@ -2,16 +2,32 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
+import re
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FloorplanError
-from repro.floorplan.adjacency import AdjacencyMap, adjacency_graph
+from repro.floorplan.adjacency import (
+    AdjacencyMap,
+    BoundarySegment,
+    Interface,
+    adjacency_graph,
+)
 from repro.floorplan.floorplan import Block, Floorplan
-from repro.floorplan.generator import grid_floorplan
-from repro.floorplan.geometry import Rect, Side
+from repro.floorplan.generator import grid_floorplan, slicing_floorplan
+from repro.floorplan.geometry import (
+    GEOM_TOL,
+    Rect,
+    Side,
+    boundary_exposure,
+    shared_edge,
+)
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +185,153 @@ class TestPaperLayouts:
         # Cool cores are mutually isolated.
         for core in ("C5", "C6", "C7"):
             assert set(amap.neighbours(core)).isdisjoint({"C5", "C6", "C7"} - {core})
+
+
+# -- the sweep against an all-pairs reference ---------------------------------
+
+
+def reference_adjacency(
+    floorplan: Floorplan, tol: float
+) -> tuple[list[Interface], dict[str, list[Interface]]]:
+    """Interfaces by testing every block pair in ``(i, j)`` index order."""
+    interfaces: list[Interface] = []
+    by_block: dict[str, list[Interface]] = {b.name: [] for b in floorplan}
+    for a, b in itertools.combinations(floorplan.blocks, 2):
+        edge = shared_edge(a.rect, b.rect, tol)
+        if edge is None:
+            continue
+        side_of_a, length = edge
+        first, second = sorted((a.name, b.name))
+        side = side_of_a if first == a.name else side_of_a.opposite
+        interface = Interface(first, second, side, length)
+        interfaces.append(interface)
+        by_block[a.name].append(interface)
+        by_block[b.name].append(interface)
+    return interfaces, by_block
+
+
+def reference_first_overlap(blocks: list[Block]) -> tuple[str, str] | None:
+    for a, b in itertools.combinations(blocks, 2):
+        if a.rect.overlaps(b.rect):
+            return a.name, b.name
+    return None
+
+
+def jittered(floorplan: Floorplan, seed: int) -> Floorplan:
+    """Every block shifted by under half of ``GEOM_TOL`` (the most the
+    overlap check allows): seams no longer coincide exactly, which puts
+    the sweep's window edge to the test.  The outline grows by
+    ``GEOM_TOL`` so every shifted block stays inside it."""
+    rng = random.Random(seed)
+    blocks = [
+        Block(
+            b.name,
+            b.rect.translated(
+                rng.uniform(-0.45, 0.45) * GEOM_TOL,
+                rng.uniform(-0.45, 0.45) * GEOM_TOL,
+            ),
+        )
+        for b in floorplan
+    ]
+    o = floorplan.outline
+    outline = Rect(
+        o.x - GEOM_TOL, o.y - GEOM_TOL, o.width + 2 * GEOM_TOL, o.height + 2 * GEOM_TOL
+    )
+    return Floorplan(blocks, name=floorplan.name, outline=outline)
+
+
+@st.composite
+def floorplans(draw: st.DrawFn) -> Floorplan:
+    kind = draw(st.sampled_from(["slicing", "grid", "whitespace"]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if kind == "grid":
+        plan = grid_floorplan(
+            draw(st.integers(min_value=1, max_value=7)),
+            draw(st.integers(min_value=1, max_value=7)),
+        )
+    else:
+        plan = slicing_floorplan(
+            draw(st.integers(min_value=2, max_value=30)), seed=seed
+        )
+    if kind == "whitespace":
+        # Drop some blocks; the outline stays, so the rest no longer tile it.
+        names = list(plan.block_names)
+        random.Random(seed).shuffle(names)
+        keep = draw(st.integers(min_value=1, max_value=len(names) - 1))
+        plan = plan.subset(names[:keep])
+    return plan
+
+
+class TestSweepMatchesAllPairs:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        plan=floorplans(),
+        tol=st.sampled_from([GEOM_TOL, 1e-3]),
+        jitter_seed=st.one_of(st.none(), st.integers(0, 10_000)),
+    )
+    def test_interfaces_and_boundaries_equal_reference(
+        self, plan, tol, jitter_seed
+    ):
+        if jitter_seed is not None:
+            plan = jittered(plan, jitter_seed)
+        amap = AdjacencyMap(plan, tol)
+        interfaces, by_block = reference_adjacency(plan, tol)
+        # Order included: the thermal builder's parallel() sums follow it.
+        assert list(amap.interfaces) == interfaces
+        for block in plan:
+            assert list(amap.interfaces_of(block.name)) == by_block[block.name]
+            expected_segments = [
+                BoundarySegment(block.name, side, length)
+                for side, length in boundary_exposure(
+                    block.rect, plan.outline, tol
+                ).items()
+            ]
+            assert list(amap.boundary_segments(block.name)) == expected_segments
+
+    def test_whitespace_floorplan_with_loose_tolerance(self):
+        # A gap narrower than the loose tolerance counts as a seam, a gap
+        # wider than it does not — the same decision shared_edge makes.
+        plan = Floorplan(
+            [
+                Block("a", Rect(0.0, 0.0, 4e-3, 4e-3)),
+                Block("b", Rect(4.5e-3, 0.0, 4e-3, 4e-3)),
+                Block("c", Rect(0.0, 6e-3, 4e-3, 4e-3)),
+            ],
+            outline=Rect(0.0, 0.0, 10e-3, 10e-3),
+        )
+        amap = AdjacencyMap(plan, 1e-3)
+        assert list(amap.interfaces) == reference_adjacency(plan, 1e-3)[0]
+        assert amap.neighbours("a") == ("b",)
+        assert amap.neighbours("c") == ()
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        plan=floorplans(),
+        data=st.data(),
+    )
+    def test_overlap_error_names_the_reference_pair(self, plan, data):
+        blocks = list(plan.blocks)
+        outline = plan.outline
+        # An intruder strictly inside the die, at least 0.5 mm on a side,
+        # so it overlaps at least one block unless it sits in white space.
+        x = data.draw(st.floats(0.0, outline.width - 5e-4))
+        y = data.draw(st.floats(0.0, outline.height - 5e-4))
+        width = data.draw(st.floats(5e-4, outline.width - x))
+        height = data.draw(st.floats(5e-4, outline.height - y))
+        intruder = Block("intruder", Rect(outline.x + x, outline.y + y, width, height))
+        blocks.insert(data.draw(st.integers(0, len(blocks))), intruder)
+        expected = reference_first_overlap(blocks)
+        if expected is None:
+            Floorplan(blocks, outline=outline)
+            return
+        message = f"blocks {expected[0]!r} and {expected[1]!r} overlap"
+        with pytest.raises(FloorplanError, match=re.escape(message)):
+            Floorplan(blocks, outline=outline)
